@@ -130,10 +130,12 @@ def oracle_answer(index, objective: str, k: int, rung_key: tuple,
 def check_daemon_answers(index0, batches, answers) -> tuple[int, list]:
     """Replay the refreshes in-process and check every daemon answer.
 
-    *answers* are ``(epoch, epsilon, eps_hit, canonical)`` tuples.  Epoch
-    ``e`` is the index after the first ``e`` refresh batches, rebuilt here
-    with :meth:`CoresetIndex.extend` exactly as the daemon's
-    ``DiversityService.refresh`` does.  An answer is correct when its rung
+    *answers* are ``(epoch, floor, epsilon, eps_hit, canonical)`` tuples,
+    where *floor* is the highest refresh epoch acknowledged before the
+    query was sent.  Epoch ``e`` is the index after the first ``e`` refresh
+    batches, rebuilt here with :meth:`CoresetIndex.extend` exactly as the
+    daemon's ``DiversityService.refresh`` does.  An answer is correct when
+    its epoch is at least its floor (a stale epoch is a mismatch), its rung
     is the one the epoch's index routes the query to (or, for an
     epsilon-reuse hit, a larger covering rung) and its canonical form
     equals the oracle's solve on that rung.  Returns the mismatch count
@@ -153,7 +155,7 @@ def check_daemon_answers(index0, batches, answers) -> tuple[int, list]:
             index = index.extend(batches[epoch - 1])
         matrices: dict = {}
         solved: dict = {}
-        for _, epsilon, eps_hit, answer in by_epoch.get(epoch, []):
+        for _, floor, epsilon, eps_hit, answer in by_epoch.get(epoch, []):
             objective, k, rung_key = answer[0], answer[1], answer[2]
             routed = index.route(objective, k, epsilon)
             covering = {r.key: r for r in index.covering_rungs(objective, k)}
@@ -166,6 +168,6 @@ def check_daemon_answers(index0, batches, answers) -> tuple[int, list]:
                                             matrices)
             expected = solved.get(key)
             oracle.append(expected)
-            if not valid_rung or expected != answer:
+            if epoch < floor or not valid_rung or expected != answer:
                 mismatches += 1
     return mismatches, oracle

@@ -30,6 +30,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
+sys.path.insert(0, str(HERE))
+
+import tracing  # noqa: E402
 
 
 def load_spec() -> tuple[dict, float]:
@@ -154,9 +157,11 @@ def cmd_trace(args) -> int:
         print(f"  {name:32s} {calls:9d} calls {secs:10.4f} s "
               f"{secs / total if total else 0:7.1%}")
     coverage = traced["result"]["metrics"]["trace.coverage"]["value"]
+    ok = coverage >= tracing.COVERAGE_MIN
     print(f"service-side spans cover {coverage:.1%} of client-observed "
-          "request time")
-    return 0
+          f"request time: {'ok' if ok else 'TOO LOW'} "
+          f"(floor {tracing.COVERAGE_MIN:.0%})")
+    return 0 if ok else 1
 
 
 def main(argv=None) -> int:

@@ -97,7 +97,7 @@ def _oracle_answers(index, batches):
         for objective in workloads.OBJECTIVES:
             rung = current.route(objective, 3, 1.0)
             canon = checks.oracle_answer(current, objective, 3, rung.key, {})
-            answers.append((epoch, 1.0, False, canon))
+            answers.append((epoch, epoch, 1.0, False, canon))
     return answers
 
 
@@ -112,9 +112,9 @@ def test_oracle_accepts_correct_answers(tiny):
 def test_oracle_catches_a_corrupted_answer(tiny):
     _, index, batches = tiny
     answers = _oracle_answers(index, batches)
-    epoch, eps, hit, canon = answers[7]
+    *head, canon = answers[7]
     corrupted = canon[:3] + (canon[3] * 1.001,) + canon[4:]
-    answers[7] = (epoch, eps, hit, corrupted)
+    answers[7] = (*head, corrupted)
     mismatches, _ = checks.check_daemon_answers(index, batches, answers)
     assert mismatches == 1
 
@@ -122,12 +122,21 @@ def test_oracle_catches_a_corrupted_answer(tiny):
 def test_oracle_catches_an_answer_from_the_wrong_epoch(tiny):
     _, index, batches = tiny
     answers = _oracle_answers(index, batches)
-    stale = [(1, eps, hit, canon) for epoch, eps, hit, canon in answers
+    stale = [(1, 1, eps, hit, canon) for epoch, _, eps, hit, canon in answers
              if epoch == 0]
     fresh = [a for a in answers if a[0] == 1]
-    expected = sum(a[3] != b[3] for a, b in zip(stale, fresh))
+    expected = sum(a[-1] != b[-1] for a, b in zip(stale, fresh))
     mismatches, _ = checks.check_daemon_answers(index, batches, stale)
     assert mismatches == expected > 0
+
+
+def test_oracle_catches_stale_answers_sent_after_a_refresh_ack(tiny):
+    _, index, batches = tiny
+    answers = _oracle_answers(index, batches)
+    # Correct epoch-0 answers, but to queries sent after epoch 1 was acked.
+    stale = [(0, 1, *rest) for epoch, _, *rest in answers if epoch == 0]
+    mismatches, _ = checks.check_daemon_answers(index, batches, stale)
+    assert mismatches == len(stale) > 0
 
 
 def test_shared_gmm_kernels_give_reference_value_exactly(tiny):
@@ -146,3 +155,16 @@ def test_tail_percentile_keeps_ten_samples_beyond():
     assert run.tail_percentile(150) == 90.0
     for count in (20, 150, 999, 1000, 12_345):
         assert count * (1 - run.tail_percentile(count) / 100) >= 10 - 1e-9
+
+
+def test_latency_chunks_hold_enough_samples_for_the_tail():
+    import numpy as np
+    assert len(run.chunks(np.ones(1999))) == 1
+    assert len(run.chunks(np.ones(2000))) == 2
+    parts = run.chunks(np.arange(400_123, dtype=np.float64))
+    assert len(parts) == run.MAX_CHUNKS
+    assert min(len(p) for p in parts) >= run.CHUNK_MIN
+    assert np.concatenate(parts).tolist() == list(range(400_123))
+    # Half the chunks in a slow state: the average sits between the states.
+    mixed = np.concatenate([np.full(5000, 1.0), np.full(5000, 3.0)])
+    assert run.chunked_percentile(run.chunks(mixed), 50) == 2.0

@@ -471,14 +471,20 @@ def layer_metrics(local: SpanTable, daemon: SpanTable | None,
     return m
 
 
+#: Least share of client-observed request time the service-side spans must
+#: cover for a traced run to pass its sanity check.
+COVERAGE_MIN = 0.9
+
+
 def self_time_table(local: SpanTable, daemon: SpanTable | None,
                     client: dict) -> list[tuple]:
     """``(stage, calls, total self seconds)`` along the request path.
 
-    Span self times of the query phases, plus the stages that are not a
-    span of their own: queue wait and batch window (``server.wait``),
-    transit between client and daemon, and the load generator's own gaps.
-    Summed, they account for the client-observed request time.
+    Span self times of the query phases, plus, through the daemon, the
+    stage that is not a span of its own: queue wait and batch window
+    (``server.wait``).  How much of the client-observed request time these
+    service-side stages cover is ``trace.coverage``; the rest is transit
+    between the load generator and the service.
     """
     import numpy as np
     table = []
@@ -499,7 +505,5 @@ def self_time_table(local: SpanTable, daemon: SpanTable | None,
         # queueing stage per request.
         table.append(("server.wait (derived)", len(path["service"]),
                       float((path["service"] - path["dispatch"]).sum())))
-    table.append(("client.transit (derived)", len(path["transit"]),
-                  float(path["transit"].sum())))
     table.sort(key=lambda row: -row[2])
     return table
