@@ -12,6 +12,9 @@ as the last line of standard output, one JSON object::
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 The exit code is 0 when every answer matched its oracle, 1 otherwise.
+Times measured on the benchmark's own cpu are reported at a reference
+machine speed (:func:`workloads.speed_factor`); the unscaled figures are
+printed in the notes as ``wall_*``.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
+import signal  # noqa: E402
 import sys  # noqa: E402
 import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -45,6 +49,16 @@ WORKLOADS = ("hot-cache", "cold-solve", "daemon-mixed")
 #: highest one with at least ten samples beyond it.
 TAIL_LADDER = (99.0, 95.0, 90.0, 50.0)
 
+
+#: How strongly each time figure follows the calibration kernel: a figure
+#: measured at speed factor f is divided by f ** exponent.  Set-up and
+#: refresh are interpreter-bound like the kernel and follow it one to one;
+#: cold-solve's requests are mostly array work over large matrices and move
+#: about half as much (slopes of log figure on log kernel time over 20
+#: runs: set-up 0.7-1.1, refresh 1.1, requests 0.6; see the README).
+SPEED_EXPONENTS = {"setup_s": 1.0, "refresh_ms": 1.0,
+                   "latency_p50_ms": 0.5, "latency_tail_ms": 0.5,
+                   "throughput_qps": -0.5}
 
 #: Latency percentiles are taken per chunk of at least this many
 #: consecutive samples, at most ``MAX_CHUNKS`` chunks per run.
@@ -75,9 +89,42 @@ def chunks(latencies: np.ndarray) -> list[np.ndarray]:
     return np.array_split(latencies, count)
 
 
+def hd_quantile(samples, percentile: float) -> float:
+    """Harrell-Davis estimate of the *percentile* of *samples*.
+
+    A weighted mean of all order statistics, with weights from the
+    ``Beta((n + 1) q, (n + 1) (1 - q))`` distribution (Harrell and Davis,
+    Biometrika 1982).  It estimates the same quantile as the sample
+    percentile, but moves smoothly when a few samples trade places: the
+    plain percentile of a multimodal sample (cold-solve mixes 1 ms and
+    500 ms queries) jumps across the gap between two modes instead.
+    Shapes below 1 (too few samples beyond the quantile) fall back to the
+    plain percentile.
+    """
+    x = np.sort(np.asarray(samples, dtype=np.float64))
+    n = len(x)
+    q = percentile / 100.0
+    a, b = (n + 1) * q, (n + 1) * (1 - q)
+    if n < 2 or a < 1 or b < 1:
+        return float(np.percentile(x, percentile))
+    # Beta CDF at i / n by the trapezoid rule on a grid 16x finer.
+    grid = np.linspace(0.0, 1.0, 16 * n + 1)
+    inner = grid[1:-1]
+    log_pdf = np.full(len(grid), -np.inf)
+    log_pdf[1:-1] = (a - 1) * np.log(inner) + (b - 1) * np.log1p(-inner)
+    if a == 1:
+        log_pdf[0] = 0.0
+    if b == 1:
+        log_pdf[-1] = 0.0
+    pdf = np.exp(log_pdf - log_pdf.max())
+    cdf = np.concatenate(([0.0], np.cumsum((pdf[1:] + pdf[:-1]) / 2)))
+    weights = np.diff(cdf[::16] / cdf[-1])
+    return float(weights @ x)
+
+
 def chunked_percentile(parts: list[np.ndarray], percentile: float) -> float:
-    """Mean over chunks of each chunk's *percentile*."""
-    return float(np.mean([np.percentile(part, percentile) for part in parts]))
+    """Mean over chunks of each chunk's Harrell-Davis *percentile*."""
+    return float(np.mean([hd_quantile(part, percentile) for part in parts]))
 
 
 def end_to_end(out: workloads.Outcome) -> tuple[dict, dict]:
@@ -87,20 +134,39 @@ def end_to_end(out: workloads.Outcome) -> tuple[dict, dict]:
     chunk = min(len(part) for part in parts)
     percentile = tail_percentile(chunk)
     failed = out.errors + out.rejected + out.mismatches
+    # Times measured on the benchmark's own cpu are scaled to the reference
+    # machine speed (workloads.speed_factor): set-up everywhere, the timed
+    # phase in-process.  daemon-mixed times its requests through the daemon
+    # on the other cpu, takes no timed-phase samples and keeps wall times.
+    speed = workloads.speed_factor(out.calibration_seconds)
+    setup_speed = workloads.speed_factor(out.setup_calibration_seconds)
+    wall = {
+        "setup_s": float(np.median(out.setup_seconds)),
+        "throughput_qps": out.answered / out.timed_seconds,
+        "latency_p50_ms": chunked_percentile(parts, 50) * 1e3,
+        "latency_tail_ms": chunked_percentile(parts, percentile) * 1e3,
+        # Mean, not median: refresh times are multimodal (a rung compacts on
+        # some refreshes and not on others), so any median estimate sits in
+        # a sparse gap between modes; over 102 refreshes its bootstrap error
+        # was 6-9 % against the mean's 4 %.
+        "refresh_ms": float(np.mean(out.refresh_seconds)) * 1e3,
+    }
+    scaled = {name: value / (setup_speed if name == "setup_s" else speed)
+              ** SPEED_EXPONENTS[name] for name, value in wall.items()}
     metrics = {
-        "setup_s": (float(np.median(out.setup_seconds)), "s"),
-        "throughput_qps": (out.answered / out.timed_seconds, "queries/s"),
-        "latency_p50_ms": (chunked_percentile(parts, 50) * 1e3, "ms"),
-        "latency_tail_ms": (chunked_percentile(parts, percentile) * 1e3,
-                            "ms"),
+        "setup_s": (scaled["setup_s"], "s"),
+        "throughput_qps": (scaled["throughput_qps"], "queries/s"),
+        "latency_p50_ms": (scaled["latency_p50_ms"], "ms"),
+        "latency_tail_ms": (scaled["latency_tail_ms"], "ms"),
         "peak_rss_mb": (out.peak_rss_mb, "MiB"),
         "approx_ratio_max": (out.approx_ratio_max, "ratio"),
-        # Mean, not median: refresh times are multimodal (a rung compacts on
-        # some refreshes and not on others), so a median jumps between modes
-        # from seed to seed while the mean moves smoothly.
-        "refresh_ms": (float(np.mean(out.refresh_seconds)) * 1e3, "ms"),
+        "refresh_ms": (scaled["refresh_ms"], "ms"),
     }
     notes = {
+        "speed_factor": speed,
+        "setup_speed_factor": setup_speed,
+        "calibration_samples": len(out.calibration_seconds),
+        **{f"wall_{name}": value for name, value in wall.items()},
         "fail_ratio": failed / max(out.attempted, 1),
         "tail_percentile": percentile,
         "latency_samples": len(latencies),
@@ -153,7 +219,11 @@ def run(workload: str, seed: int, seconds: float, trace: bool,
                                              tracer)
         metrics, notes = end_to_end(out)
         report = {"workload": workload, "seed": seed, "seconds": seconds,
-                  "end_to_end": metrics, "notes": notes}
+                  "end_to_end": metrics, "notes": notes,
+                  "samples": {"latency_s": out.latencies.tolist(),
+                              "refresh_s": list(out.refresh_seconds),
+                              "calibration_s":
+                                  list(out.calibration_seconds)}}
         if trace:
             metrics = _per_layer(tracer, out, scale, workload, seed, report)
     finally:
@@ -222,6 +292,9 @@ def print_report(report: dict, line: dict) -> None:
 
 
 def main(argv=None) -> int:
+    # SIGTERM unwinds like an exception, so the daemon is stopped and the
+    # scratch directory removed on that path too.
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, required=True)

@@ -167,4 +167,45 @@ def test_latency_chunks_hold_enough_samples_for_the_tail():
     assert np.concatenate(parts).tolist() == list(range(400_123))
     # Half the chunks in a slow state: the average sits between the states.
     mixed = np.concatenate([np.full(5000, 1.0), np.full(5000, 3.0)])
-    assert run.chunked_percentile(run.chunks(mixed), 50) == 2.0
+    assert run.chunked_percentile(run.chunks(mixed), 50) == \
+        pytest.approx(2.0)
+
+
+def test_harrell_davis_quantile_tracks_the_percentile():
+    import numpy as np
+    rng = np.random.default_rng(0)
+    sample = rng.lognormal(size=5000)
+    for percentile in (50, 95, 99):
+        assert run.hd_quantile(sample, percentile) == pytest.approx(
+            np.percentile(sample, percentile), rel=0.05)
+    # Two modes with an odd count: the plain median is one mode's value;
+    # the Harrell-Davis median sits between them and moves by a fraction
+    # of the gap when one sample changes mode.
+    modes = np.array([1.0] * 50 + [9.0] * 51)
+    assert np.percentile(modes, 50) == 9.0
+    before = run.hd_quantile(modes, 50)
+    modes[50] = 1.0
+    after = run.hd_quantile(modes, 50)
+    assert 1.0 < after < before < 9.0
+    assert before - after < 2.0
+    assert run.hd_quantile([4.0], 50) == 4.0
+
+
+def test_times_on_the_benchmark_cpu_are_scaled_to_the_reference_speed():
+    from array import array
+    ref = workloads.CALIBRATION_REFERENCE_S
+    out = workloads.Outcome(
+        setup_seconds=[2.0], latencies=array("d", [0.01] * 100),
+        timed_seconds=1.0, answered=100, attempted=100,
+        refresh_seconds=[0.05], calibration_seconds=[4 * ref] * 3,
+        setup_calibration_seconds=[2 * ref] * 3)
+    metrics, notes = run.end_to_end(out)
+    # Set-up and refresh follow the kernel one to one, requests as its
+    # square root; the unscaled figures stay in the notes.
+    assert metrics["setup_s"][0] == pytest.approx(2.0 / 2)
+    assert metrics["refresh_ms"][0] == pytest.approx(50.0 / 4)
+    assert metrics["latency_p50_ms"][0] == pytest.approx(10.0 / 2)
+    assert metrics["latency_tail_ms"][0] == pytest.approx(10.0 / 2)
+    assert metrics["throughput_qps"][0] == pytest.approx(100.0 * 2)
+    assert notes["wall_latency_p50_ms"] == pytest.approx(10.0)
+    assert workloads.speed_factor([]) == 1.0

@@ -49,13 +49,15 @@ class Scale:
     dim: int = 8
     k_max: int = 16
     #: Set-ups per run; ``setup_s`` is their median.
-    setup_repeats: int = 5
+    setup_repeats: int = 3
     hot_keys: int = 64
     hot_k: tuple = (2, 8)
     cold_k: tuple = (2, 16)
     daemon_k: tuple = (2, 8)
     #: Open-loop request rate of daemon-mixed (requests/s, one query each).
-    daemon_rate: float = 30.0
+    #: Below 25/s a 40 s run has fewer than 1,000 requests, so its tail is
+    #: p95 with about 50 samples beyond it rather than p99 with about 12.
+    daemon_rate: float = 24.0
     #: Zipf exponent of daemon-mixed key popularity.
     zipf_s: float = 1.2
     #: Seconds between two refreshes in daemon-mixed.
@@ -65,6 +67,9 @@ class Scale:
     #: Seconds between two in-process refreshes during the timed phase of
     #: hot-cache and cold-solve (their ``refresh_ms``).
     inproc_refresh_every: float = 0.4
+    #: Seconds between two runs of the calibration kernel during the timed
+    #: phase of hot-cache and cold-solve.
+    calibrate_every: float = 0.2
 
 
 FULL = Scale()
@@ -86,6 +91,10 @@ class Outcome:
     rejected: int = 0
     mismatches: int = 0
     refresh_seconds: list = field(default_factory=list)
+    #: Times of :func:`calibration_kernel` spread over the timed phase
+    #: (in-process workloads only) and taken around each set-up.
+    calibration_seconds: list = field(default_factory=list)
+    setup_calibration_seconds: list = field(default_factory=list)
     peak_rss_mb: float = 0.0
     approx_ratio_max: float = 0.0
     notes: dict = field(default_factory=dict)
@@ -112,6 +121,49 @@ def bench_cpus() -> tuple[int | None, int | None]:
     if len(cpus) < 2:
         return None, None
     return cpus[0], cpus[1]
+
+
+#: Median time of :func:`calibration_kernel` between requests on the
+#: reference machine (a 2-vcpu VM on a shared host).  Times measured on the
+#: benchmark's own cpu are reported at this speed; see :func:`speed_factor`.
+CALIBRATION_REFERENCE_S = 0.0043
+
+_CALIBRATION_POINTS = np.random.default_rng(2017).normal(size=(160, 8))
+
+
+def calibration_kernel() -> float:
+    """A fixed piece of work that runs no program code.
+
+    A pure-Python loop and a small numpy distance matrix, the two kinds
+    of work the program's query and refresh paths mix.  On a shared host
+    its time swings with the machine's speed state (up to 1.5x, in states
+    lasting from a second to over a minute) as the program's own
+    operations do.
+    """
+    total = 0
+    for i in range(25_000):
+        total += i * i % 7
+    diff = _CALIBRATION_POINTS[:, None, :] - _CALIBRATION_POINTS[None, :, :]
+    return total + float(np.sqrt((diff * diff).sum(-1)).max())
+
+
+def calibrate(samples: list, count: int = 5) -> None:
+    """Append *count* back-to-back timings of the calibration kernel."""
+    for _ in range(count):
+        started = time.perf_counter()
+        calibration_kernel()
+        samples.append(time.perf_counter() - started)
+
+
+def speed_factor(calibration_seconds: list) -> float:
+    """How much slower the machine ran than the reference, over a run.
+
+    The median calibration time divided by
+    :data:`CALIBRATION_REFERENCE_S`; 1.0 when there are no samples.
+    """
+    if not calibration_seconds:
+        return 1.0
+    return float(np.median(calibration_seconds)) / CALIBRATION_REFERENCE_S
 
 
 def make_points(scale: Scale, seed: int) -> PointSet:
@@ -180,6 +232,7 @@ def run_hot_cache(scale: Scale, seed: int, seconds: float,
     out = Outcome()
     _phase(tracer, "setup")
     for _ in range(scale.setup_repeats):
+        calibrate(out.setup_calibration_seconds)
         gc.collect()
         started = time.perf_counter()
         points = make_points(scale, seed)
@@ -188,7 +241,9 @@ def run_hot_cache(scale: Scale, seed: int, seconds: float,
         service = DiversityService(index)
         warm = [service.query(q.objective, q.k, q.epsilon) for q in keys]
         out.setup_seconds.append(time.perf_counter() - started)
+        calibrate(out.setup_calibration_seconds)
     refresher = _Refresher(index, points, scale, seed, seconds, tracer)
+    speedometer = _Speedometer(scale.calibrate_every, tracer)
     expected = [(r.value, r.rung) for r in warm]
     objectives = [q.objective for q in keys]
     ks = [q.k for q in keys]
@@ -202,11 +257,13 @@ def run_hot_cache(scale: Scale, seed: int, seconds: float,
     _phase(tracer, "timed")
     started = perf()
     refresher.start(started)
+    speedometer.start(started)
     deadline = started + seconds
     done = started
     request = 0
     while done < deadline:
         refresher.maybe(done, out)
+        speedometer.maybe(perf(), out)
         for i in rng.permutation(len(keys)).tolist():
             if tracer is not None:
                 tracer.set_request(request)
@@ -219,7 +276,7 @@ def run_hot_cache(scale: Scale, seed: int, seconds: float,
             request += 1
             if result.value != expected[i][0] or result.rung != expected[i][1]:
                 bad += 1
-    out.timed_seconds = perf() - started - refresher.spent
+    out.timed_seconds = perf() - started - refresher.spent - speedometer.spent
     _phase(tracer, "check")
     out.peak_rss_mb = vm_hwm_mb()
     out.answered = out.attempted = len(latencies)
@@ -250,6 +307,7 @@ def run_cold_solve(scale: Scale, seed: int, seconds: float,
     out = Outcome()
     _phase(tracer, "setup")
     for _ in range(scale.setup_repeats):
+        calibrate(out.setup_calibration_seconds)
         gc.collect()
         started = time.perf_counter()
         points = make_points(scale, seed)
@@ -259,7 +317,9 @@ def run_cold_solve(scale: Scale, seed: int, seconds: float,
         for objective in OBJECTIVES:
             warm.query(objective, scale.cold_k[0], 1.0)
         out.setup_seconds.append(time.perf_counter() - started)
+        calibrate(out.setup_calibration_seconds)
     refresher = _Refresher(index, points, scale, seed, seconds, tracer)
+    speedometer = _Speedometer(scale.calibrate_every, tracer)
     rng = np.random.default_rng([seed, 2])
     latencies = out.latencies
     perf = time.perf_counter
@@ -270,11 +330,13 @@ def run_cold_solve(scale: Scale, seed: int, seconds: float,
     _phase(tracer, "timed")
     started = perf()
     refresher.start(started)
+    speedometer.start(started)
     while True:
         service = DiversityService(index)
         answers: list = [None] * len(grid)
         for i in rng.permutation(len(grid)).tolist():
             refresher.maybe(perf(), out)
+            speedometer.maybe(perf(), out)
             q = grid[i]
             if tracer is not None:
                 tracer.set_request(request)
@@ -289,7 +351,7 @@ def run_cold_solve(scale: Scale, seed: int, seconds: float,
         services.append(service.stats())
         if done - started >= seconds:
             break
-    out.timed_seconds = perf() - started - refresher.spent
+    out.timed_seconds = perf() - started - refresher.spent - speedometer.spent
     _phase(tracer, "check")
     out.peak_rss_mb = vm_hwm_mb()
     del service
@@ -359,6 +421,36 @@ class _Refresher:
         out.refresh_seconds.append(elapsed)
         self.spent += elapsed
         self.next_at += self.every
+
+
+class _Speedometer:
+    """Runs :func:`calibration_kernel` every *every* seconds, between requests.
+
+    The samples spread over the whole timed phase, like the requests, and
+    their time is excluded from the query phase's wall time.
+    """
+
+    def __init__(self, every: float, tracer):
+        self.every = every
+        self.tracer = tracer
+        self.next_at = float("inf")
+        self.spent = 0.0
+
+    def start(self, now: float) -> None:
+        self.next_at = now + self.every
+
+    def maybe(self, now: float, out: Outcome) -> None:
+        """Time the kernel once when a sample is due."""
+        if now < self.next_at:
+            return
+        _phase(self.tracer, "calibrate")
+        started = time.perf_counter()
+        calibration_kernel()
+        elapsed = time.perf_counter() - started
+        _phase(self.tracer, "timed")
+        out.calibration_seconds.append(elapsed)
+        self.spent += elapsed
+        self.next_at = now + self.every
 
 
 def _merge_stats(stats_list: list[dict]) -> dict:
@@ -530,6 +622,7 @@ def run_daemon_mixed(scale: Scale, seed: int, seconds: float,
             if daemon is not None:
                 daemon.stop()
                 daemon = None
+            calibrate(out.setup_calibration_seconds)
             gc.collect()
             started = time.perf_counter()
             points = make_points(scale, seed)
@@ -547,6 +640,7 @@ def run_daemon_mixed(scale: Scale, seed: int, seconds: float,
             warm = asyncio.run(_roundtrip(daemon.host, daemon.port,
                                           warm_lines))
             out.setup_seconds.append(time.perf_counter() - started)
+            calibrate(out.setup_calibration_seconds)
             if not all(response["ok"] for response in warm):
                 raise RuntimeError(f"daemon warm-up failed: {warm}")
         events = daemon_schedule(scale, seed, seconds, paths)
