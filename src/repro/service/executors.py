@@ -46,6 +46,7 @@ import threading
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -62,8 +63,12 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.service.index import LadderRung
     from repro.service.service import DiversityService, Query, QueryResult
 
-#: Names accepted by ``DiversityService(executor=...)`` and the CLI.
+#: The execution backends :func:`create_executor` builds.
 EXECUTOR_NAMES = ("serial", "thread", "process")
+
+#: Names accepted by ``DiversityService(executor=...)``, the registry and
+#: ``repro serve``: a backend, or ``"auto"`` to pick one per batch.
+EXECUTOR_CHOICES = EXECUTOR_NAMES + ("auto",)
 
 #: Cross-process single-flight stripes (locks shared with every worker).
 DEFAULT_LOCK_STRIPES = 8
@@ -265,7 +270,9 @@ class ProcessExecutor:
     accounting stays with the driver's tracker (see :mod:`repro.shm`).
     The pool persists across batches; it is (re)created lazily for the
     requested worker count and shut down by :meth:`close` or a GC
-    finalizer.
+    finalizer.  A pool that loses a worker fails the batch in flight
+    with :class:`~concurrent.futures.process.BrokenProcessPool` and is
+    respawned for the next batch.
     """
 
     name = "process"
@@ -324,6 +331,21 @@ class ProcessExecutor:
             self._pool.shutdown(wait=True)
             self._pool = None
             self._pool_workers = 0
+
+    def _discard_broken(self, pool: ProcessPoolExecutor) -> None:
+        """Drop *pool* after a worker died, so the next batch respawns.
+
+        A pool that lost a worker (killed, out of memory) fails every
+        later submit; dropping it lets :meth:`_ensure_pool` start a fresh
+        one.  The stripe locks are replaced too: a worker killed while
+        filling a matrix never releases its stripe.  Only the pool that
+        broke is dropped — another thread may already have replaced it.
+        """
+        with self._lock:
+            if self._pool is pool:
+                self._drop_pool()
+                self._locks = [self._ctx.Lock()
+                               for _ in range(self._stripes)]
 
     def warm(self, max_workers: int) -> None:
         """Spawn (and wait for) all *max_workers* workers up front.
@@ -418,6 +440,7 @@ class ProcessExecutor:
         # concurrently.
         matrices = self._matrices
         leases: dict[tuple, tuple[shm.SharedArrayRef, MatrixLease]] = {}
+        pool = None
         try:
             results, groups = service._probe_batch(snapshot, normalized,
                                                    rungs, reuse)
@@ -454,6 +477,10 @@ class ProcessExecutor:
                 service._finish_group(cache, cache_key, result, members,
                                       results)
             return results
+        except BrokenProcessPool:
+            # This batch fails; the next one gets a fresh pool.
+            self._discard_broken(pool)
+            raise
         finally:
             for _, lease in leases.values():
                 matrices.release(lease)

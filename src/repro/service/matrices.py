@@ -298,16 +298,6 @@ class MatrixCache:
             fresh._dtype = self._dtype
             return fresh
 
-    def contains(self, key: Hashable) -> bool:
-        """Non-mutating residency probe: no stats, no recency refresh.
-
-        The query planner uses this to price a rung's matrix at zero
-        when it is already resident — a cost estimate must not promote
-        entries or distort the hit/miss accounting of :meth:`get_or_compute`.
-        """
-        with self._lock:
-            return key in self._entries
-
     def describe(self) -> dict:
         """JSON-ready snapshot: stats plus dtype, residency and budget."""
         with self._lock:

@@ -52,10 +52,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -64,7 +63,11 @@ from repro.diversity.sequential.registry import solve_on_matrix
 from repro.exceptions import ValidationError
 from repro.metricspace.points import PointSet
 from repro.service.cache import StripedLRUCache
-from repro.service.executors import EXECUTOR_NAMES, create_executor
+from repro.service.executors import (
+    EXECUTOR_CHOICES,
+    EXECUTOR_NAMES,
+    create_executor,
+)
 from repro.service.index import (
     CoresetIndex,
     LadderRung,
@@ -72,7 +75,6 @@ from repro.service.index import (
 )
 from repro.service.matrices import MatrixCache
 from repro.service.persist import load_index, save_index
-from repro.service.planner import CostModel, Plan, QueryPlanner
 from repro.utils.validation import check_in_range, check_positive_int
 
 
@@ -110,6 +112,45 @@ def _verify_config_from_env() -> tuple[bool, float, float]:
     return enabled, min(max(fraction, 0.0), 1.0), max(rtol, 0.0)
 
 
+#: ``executor="auto"`` sends a batch to worker processes only when it
+#: holds at least this many distinct fresh solves on rungs of at least
+#: :data:`AUTO_MIN_RUNG_POINTS` points.  On 2 cpus, process dispatch costs
+#: a few milliseconds per batch: it pays once two solves on a rung of a
+#: few thousand points run side by side, and loses on the 64-256-point
+#: rungs small queries route to (see ``docs/performance.md``).
+AUTO_MIN_SOLVES = 2
+AUTO_MIN_RUNG_POINTS = 1_000
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on (affinity-aware where supported)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+def _auto_executor(normalized: list["Query"], rungs: list[LadderRung],
+                   cached_flags: list[bool], concurrent: bool) -> str:
+    """The backend ``executor="auto"`` runs one routed batch on.
+
+    ``process`` when the batch holds at least :data:`AUTO_MIN_SOLVES`
+    distinct fresh solves on rungs of at least
+    :data:`AUTO_MIN_RUNG_POINTS` points and at least 2 cpus are
+    available; otherwise the static choice — ``serial``, or ``thread``
+    for :meth:`DiversityService.query_concurrent`.  Cached queries
+    (including eps-reuse hits) and in-batch repeats need no solve of
+    their own, so they do not count.  Every backend answers
+    bit-identically, so the choice moves only wall time.
+    """
+    fresh = {(query.objective, query.k, rung.key)
+             for query, rung, cached in zip(normalized, rungs, cached_flags)
+             if not cached and len(rung.coreset) >= AUTO_MIN_RUNG_POINTS}
+    if len(fresh) >= AUTO_MIN_SOLVES and _available_cpus() >= 2:
+        return "process"
+    return "thread" if concurrent else "serial"
+
+
 def _check_schema_version(payload: dict, what: str) -> None:
     """Reject payloads claiming a schema version we do not speak."""
     version = payload.get("schema_version", SCHEMA_VERSION)
@@ -128,9 +169,8 @@ class Query:
 
     This dataclass is the canonical request schema: :meth:`to_dict` /
     :meth:`from_dict` round-trip it through JSON-ready dicts carrying a
-    ``schema_version`` field, and every query entry point accepts
-    :class:`Query` instances (bare ``(objective, k[, epsilon])`` tuples
-    are still understood but deprecated).
+    ``schema_version`` field, and every query entry point takes
+    :class:`Query` instances.
     """
 
     objective: str
@@ -158,11 +198,6 @@ class Query:
             raise ValidationError(
                 f"malformed Query payload {payload!r}: {exc}") from exc
         return cls(objective, k, float(payload.get("epsilon", 1.0)))
-
-
-#: Accepted query spellings: a :class:`Query` or a deprecated
-#: ``(objective, k[, epsilon])`` tuple/list.
-QueryLike = Union[Query, tuple, list]
 
 
 @dataclass(frozen=True)
@@ -273,7 +308,12 @@ class DiversityService:
         — ``"serial"`` (default), ``"thread"`` or ``"process"`` (see
         :mod:`repro.service.executors`); all three produce bit-identical
         answers.  :meth:`query_concurrent` defaults to ``"thread"`` when
-        the service default is serial.  Services using the process
+        the service default is serial.  ``"auto"`` picks per batch by a
+        fixed rule: ``process`` for batches with at least
+        :data:`AUTO_MIN_SOLVES` distinct fresh solves on rungs of at
+        least :data:`AUTO_MIN_RUNG_POINTS` points on a machine with 2 or
+        more cpus, else the static choice; an explicit ``executor=`` on
+        a call always wins.  Services using the process
         backend should be :meth:`close`\\ d (or used as a context
         manager) so the worker pool and shared segments are torn down
         deterministically; GC finalizers back that up.
@@ -289,21 +329,6 @@ class DiversityService:
         defers to the environment (``REPRO_VERIFY_DTYPE=1``,
         ``REPRO_VERIFY_FRACTION``, ``REPRO_VERIFY_RTOL``).  No-op on
         float64 indexes.
-    plan, planner:
-        Query-planning mode.  ``"static"`` (default) keeps today's fixed
-        policy: rung from the epsilon sizing, executor from
-        *executor*/the call site, matrices computed on demand.
-        ``"auto"`` lets a :class:`~repro.service.planner.QueryPlanner`
-        pick the cheapest executor and matrix strategy per batch from a
-        fitted :class:`~repro.service.planner.CostModel` (loaded from
-        the machine profile's calibration block; refined online from
-        measured batch times).  The solved rung is always the statically
-        routed one and every backend is bit-identical, so ``auto``
-        answers match ``static`` exactly — only wall time changes.  An
-        explicit ``executor=`` on a call always wins over the planner.
-        *planner* injects a (possibly shared) planner instance — a
-        registry passes one so all tenants refine one model; tests pass
-        one with a synthetic cost table for deterministic plans.
     dataset_id, matrices, executor_pool:
         Multi-tenant wiring used by
         :class:`~repro.service.registry.IndexRegistry`: *dataset_id*
@@ -337,8 +362,6 @@ class DiversityService:
                  verify_dtype: bool | None = None,
                  verify_fraction: float | None = None,
                  verify_rtol: float | None = None,
-                 plan: str = "static",
-                 planner: QueryPlanner | None = None,
                  dataset_id: str = "",
                  matrices: MatrixCache | None = None,
                  executor_pool=None,
@@ -347,25 +370,10 @@ class DiversityService:
             raise ValidationError(
                 "DiversityService needs either a prebuilt index or "
                 "points + k_max for a lazy build")
-        if executor not in EXECUTOR_NAMES:
+        if executor not in EXECUTOR_CHOICES:
             raise ValidationError(
                 f"unknown executor {executor!r}; "
-                f"known: {', '.join(EXECUTOR_NAMES)}")
-        if plan not in ("static", "auto"):
-            raise ValidationError(
-                f"unknown plan mode {plan!r}; known: static, auto")
-        self.plan_mode = plan
-        if planner is not None:
-            self._planner = planner
-        elif plan == "auto":
-            # Only the auto path pays the profile read; static services
-            # keep an idle default planner so stats() stays fixed-shape.
-            from repro.tuning import load_calibration
-
-            self._planner = QueryPlanner(
-                CostModel.from_payload(load_calibration()))
-        else:
-            self._planner = QueryPlanner()
+                f"known: {', '.join(EXECUTOR_CHOICES)}")
         self._index = index
         self._points = points
         self._k_max = (None if k_max is None
@@ -443,17 +451,15 @@ class DiversityService:
     @classmethod
     def from_file(cls, path: str | Path, *, cache_size: int = 128,
                   matrix_budget_mb: int | None = None,
-                  dtype: str | None = None,
-                  plan: str = "static") -> "DiversityService":
+                  dtype: str | None = None) -> "DiversityService":
         """Warm-start from an index persisted by :meth:`save` — no build.
 
         *dtype* casts the loaded index (e.g. ``"float32"`` to serve an
         existing float64 index on the fast path); ``None`` serves it in
-        its stored dtype.  *plan* selects the query-planning mode (see
-        the constructor).
+        its stored dtype.
         """
         return cls(load_index(path, dtype=dtype), cache_size=cache_size,
-                   matrix_budget_mb=matrix_budget_mb, plan=plan)
+                   matrix_budget_mb=matrix_budget_mb)
 
     @property
     def index(self) -> CoresetIndex | None:
@@ -557,7 +563,7 @@ class DiversityService:
         return self.query_batch([Query(get_objective(objective).name, k,
                                        epsilon)])[0]
 
-    def query_batch(self, queries: Iterable[QueryLike], *,
+    def query_batch(self, queries: Iterable[Query], *,
                     executor: str | None = None) -> list[QueryResult]:
         """Answer many requests, sharing work across them.
 
@@ -569,16 +575,14 @@ class DiversityService:
         ``process`` backend dispatches solves to worker processes over
         the shared-memory data plane with identical answers).  Results
         come back in input order; exact repeats — within the batch or
-        across calls — are served from the LRU.
-
-        With ``plan="auto"`` and no explicit *executor*, the query
-        planner picks the backend the cost model predicts cheapest for
-        this batch; answers are identical either way.
+        across calls — are served from the LRU.  ``executor="auto"``
+        picks the backend per batch (see the constructor); answers are
+        identical either way.
         """
         return self._execute(queries, executor, self.executor_workers,
                              concurrent=False)
 
-    def query_concurrent(self, queries: Iterable[QueryLike],
+    def query_concurrent(self, queries: Iterable[Query],
                          max_workers: int = 4,
                          executor: str | None = None) -> list[QueryResult]:
         """Answer many requests on a worker pool, sharing cached state.
@@ -602,9 +606,9 @@ class DiversityService:
         check_positive_int(max_workers, "max_workers")
         return self._execute(queries, executor, max_workers, concurrent=True)
 
-    def _execute(self, queries: Iterable[QueryLike], executor: str | None,
+    def _execute(self, queries: Iterable[Query], executor: str | None,
                  max_workers: int, concurrent: bool) -> list[QueryResult]:
-        """Common query funnel: normalize, snapshot, plan, dispatch, count.
+        """Common query funnel: normalize, snapshot, route, dispatch, count.
 
         The epsilon-reuse candidates are resolved here, against the
         cache state *at batch start*, and handed to the backend: every
@@ -612,18 +616,10 @@ class DiversityService:
         or thread timing, which is what keeps concurrent answers
         bit-identical to ``query_batch`` on mixed-eps workloads.
 
-        When the call site names no *executor*, ``plan="auto"`` asks the
-        query planner for the predicted-cheapest backend (and records
-        the plan's measured wall time afterwards); ``plan="static"``
-        resolves it exactly as before — the service default, or
-        ``thread`` for concurrent calls on a serial-default service.
+        When the call site names no *executor*, the service default
+        applies (``thread`` for concurrent calls on a serial-default
+        service); ``"auto"`` resolves through :func:`_auto_executor`.
         """
-        queries = list(queries)
-        if any(isinstance(query, (tuple, list)) for query in queries):
-            warnings.warn(
-                "bare-tuple queries are deprecated; pass "
-                "repro.service.Query objects (schema_version "
-                f"{SCHEMA_VERSION})", DeprecationWarning, stacklevel=3)
         normalized = [self._normalize(query) for query in queries]
         if not normalized:
             if not concurrent:
@@ -632,29 +628,16 @@ class DiversityService:
             return []
         snapshot = self._snapshot()
         rungs, reuse, cached_flags = self._plan_batch(snapshot, normalized)
-        plan: Plan | None = None
         if executor is None:
-            if self.plan_mode == "auto":
-                index, epoch, _cache, matrices = snapshot
-
-                def resident(rung_key, _m=matrices, _e=epoch):
-                    """Whether the rung's matrix is already cached."""
-                    return _m.contains((self.dataset_id, _e, rung_key))
-
-                plan = self._planner.plan_batch(normalized, rungs,
-                                                index.dtype, resident,
-                                                cached_flags)
-                executor = plan.executor
-            elif concurrent and self.default_executor == "serial":
+            executor = self.default_executor
+            if concurrent and executor == "serial":
                 executor = "thread"
-            else:
-                executor = self.default_executor
+        if executor == "auto":
+            executor = _auto_executor(normalized, rungs, cached_flags,
+                                      concurrent)
         backend = self._executor_obj(executor)
-        started = time.perf_counter()
         results = backend.run(self, snapshot, normalized, max_workers,
                               rungs, reuse)
-        if plan is not None:
-            self._planner.record(plan, time.perf_counter() - started)
         with self._counter_lock:
             self.queries_answered += len(normalized)
             if concurrent:
@@ -764,8 +747,8 @@ class DiversityService:
         query (in input order — backends consume these instead of
         re-routing), the epsilon-reuse answers available at batch start
         keyed by cache key, and per query whether the result cache (or
-        the reuse set) already holds its answer — the query planner's
-        zero-cost signal for which queries still need a solve.  For each
+        the reuse set) already holds its answer — ``executor="auto"``'s
+        signal for which queries still need a solve.  For each
         query routing to a rung whose own key is absent, cached answers
         of *larger* covering rungs — solved for a tighter ``eps``, hence
         valid for this looser one by the core-set guarantee — are peeked
@@ -810,49 +793,6 @@ class DiversityService:
         with self._counter_lock:
             self.routing_decisions += len(normalized)
         return rungs, reuse, cached_flags
-
-    def preview_plan(self, queries: Iterable[QueryLike]) -> Plan:
-        """Plan a batch without executing or recording it.
-
-        The ``repro plan`` explain path: routes the queries, probes
-        cache residency (stat-free peeks) and returns the
-        :class:`~repro.service.planner.Plan` the ``auto`` mode would
-        run, including every candidate executor's predicted cost.  No
-        counters move and the planner's metrics are untouched.
-        """
-        normalized = [self._normalize(query) for query in list(queries)]
-        if not normalized:
-            raise ValidationError("preview_plan needs at least one query")
-        index, epoch, cache, matrices = self._snapshot()
-        rungs = [index.route(query.objective, query.k, query.epsilon)
-                 for query in normalized]
-        cached_flags = [
-            cache.peek((self.dataset_id, epoch, query.objective, query.k,
-                        index.seed, rung.key)) is not None
-            for query, rung in zip(normalized, rungs)]
-
-        def resident(rung_key):
-            """Whether the rung's matrix is already cached."""
-            return matrices.contains((self.dataset_id, epoch, rung_key))
-
-        return self._planner.plan_batch(normalized, rungs, index.dtype,
-                                        resident, cached_flags)
-
-    def plan_signature(self, queries: Iterable[QueryLike]) -> tuple | None:
-        """The batching class these queries would dispatch under.
-
-        ``None`` in static mode (and on any planning failure), so the
-        daemon's micro-batch grouping degrades to exactly today's
-        dataset-only key; in ``auto`` mode requests predicted to run on
-        different executors get different signatures and dispatch as
-        separate batches.  Never builds a lazy index.
-        """
-        if self.plan_mode != "auto" or self._index is None:
-            return None
-        try:
-            return self.preview_plan(queries).signature
-        except Exception:
-            return None
 
     def _lookup(self, cache: StripedLRUCache, epoch: int,
                 index: CoresetIndex, query: Query, rung: LadderRung,
@@ -917,9 +857,12 @@ class DiversityService:
         Spawning process workers costs noticeable wall time (a fresh
         interpreter per worker); benchmarks call this before their timed
         region so measured queries/sec reflect serving, not cold starts.
-        No-op for the serial and thread backends.
+        No-op for the serial and thread backends; ``"auto"`` warms the
+        process backend it may pick.
         """
         name = executor or self.default_executor
+        if name == "auto":
+            name = "process"
         workers = (self.executor_workers if max_workers is None
                    else check_positive_int(max_workers, "max_workers"))
         self._executor_obj(name).warm(workers)
@@ -1036,18 +979,13 @@ class DiversityService:
 
     @staticmethod
     def _normalize(query) -> Query:
-        """Coerce a :data:`QueryLike` into a validated :class:`Query`."""
-        if isinstance(query, Query):
-            objective = get_objective(query.objective).name
-            query = Query(objective, query.k, query.epsilon)
-        elif isinstance(query, (tuple, list)) and len(query) in (2, 3):
-            objective = get_objective(query[0]).name
-            epsilon = float(query[2]) if len(query) == 3 else 1.0
-            query = Query(objective, int(query[1]), epsilon)
-        else:
+        """Validate a :class:`Query` and canonicalize its objective name."""
+        if not isinstance(query, Query):
             raise ValidationError(
-                f"cannot interpret query {query!r}; pass a Query or an "
-                "(objective, k[, epsilon]) tuple")
+                f"cannot interpret query {query!r}; pass a "
+                "repro.service.Query")
+        query = Query(get_objective(query.objective).name, query.k,
+                      query.epsilon)
         check_positive_int(query.k, "k")
         check_in_range(query.epsilon, "epsilon", 0.0, 1.0)
         return query
@@ -1058,7 +996,7 @@ class DiversityService:
 
         One JSON-ready dict, shared verbatim by this in-process API and
         the daemon's ``GET /stats`` (:mod:`repro.service.server`), with a
-        ``schema_version`` stamp and seven stable sections:
+        ``schema_version`` stamp and six stable sections:
 
         * ``counters`` — ``queries_answered``, ``batches_answered``,
           ``concurrent_batches``, ``build_calls`` (frozen across
@@ -1079,13 +1017,7 @@ class DiversityService:
         * ``verify`` — the float64 shadow-check block: ``enabled`` /
           ``fraction`` / ``rtol`` configuration plus ``checks``,
           ``value_mismatches``, ``index_mismatches``, ``ties`` counters
-          (see :meth:`_maybe_verify`);
-        * ``planner`` — the query-planning block: ``mode``
-          (``static``/``auto``), ``calibrated``, ``planned`` batches,
-          per-executor ``plans`` counts, cumulative
-          ``predicted_seconds``/``measured_seconds`` and the
-          regression-gated ``mean_rel_error`` (predicted-vs-measured;
-          ``None`` until a batch has been planned).
+          (see :meth:`_maybe_verify`).
 
         The key inventory is documented in ``docs/serving.md`` and
         drift-gated by ``tests/test_docs.py``.
@@ -1137,9 +1069,5 @@ class DiversityService:
                 "value_mismatches": self.verify_value_mismatches,
                 "index_mismatches": self.verify_index_mismatches,
                 "ties": self.verify_ties,
-            },
-            "planner": {
-                "mode": self.plan_mode,
-                **self._planner.stats(),
             },
         }

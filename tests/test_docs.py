@@ -13,7 +13,9 @@ way a broken unit does:
   must be reachable from the nav;
 * the stats-schema tables in ``docs/serving.md`` — single-index and
   registry — must each list exactly the keys a live payload emits;
-  stats drift without a doc update fails here.
+  stats drift without a doc update fails here;
+* the ``executor="auto"`` constants ``docs/performance.md`` states must
+  match the code.
 """
 
 from __future__ import annotations
@@ -205,31 +207,6 @@ class TestRegistryStatsSchemaTable:
             f"stale {sorted(documented - emitted)}")
 
 
-class TestPlannerStatsSchemaTable:
-    """The query-planner table must match the ``planner`` stats block."""
-
-    def test_table_matches_emitted_keys(self):
-        import numpy as np
-
-        from repro.metricspace.points import PointSet
-        from repro.service import DiversityService, build_coreset_index
-
-        rng = np.random.default_rng(0)
-        index = build_coreset_index(PointSet(rng.normal(size=(40, 3))), 3,
-                                    seed=0)
-        with DiversityService(index, cache_size=8, plan="auto") as service:
-            service.query("remote-edge", 3)
-            emitted = TestStatsSchemaTable._flatten(
-                service.stats()["planner"])
-        documented = _documented_keys("planner-stats-keys")
-        assert documented, \
-            "serving.md planner stats table markers missing or empty"
-        assert emitted == documented, (
-            f"docs/serving.md planner stats table drifted: "
-            f"undocumented {sorted(emitted - documented)}, "
-            f"stale {sorted(documented - emitted)}")
-
-
 class TestQosStatsSchemaTable:
     """The Tenant QoS table must match the live WDRR scheduler block."""
 
@@ -253,3 +230,18 @@ class TestQosStatsSchemaTable:
             f"docs/serving.md qos stats table drifted: "
             f"undocumented {sorted(emitted - documented)}, "
             f"stale {sorted(documented - emitted)}")
+
+
+class TestExecutorChoiceDoc:
+    """``docs/performance.md`` states the ``executor="auto"`` constants."""
+
+    @pytest.mark.parametrize("name", ["AUTO_MIN_SOLVES",
+                                      "AUTO_MIN_RUNG_POINTS"])
+    def test_constant_matches_the_code(self, name):
+        from repro.service import service
+
+        text = (DOCS / "performance.md").read_text()
+        stated = re.findall(rf"`{name} = ([\d,_]+)`", text)
+        assert stated, f"docs/performance.md never states {name}"
+        assert {int(value.replace(",", "").replace("_", ""))
+                for value in stated} == {getattr(service, name)}

@@ -14,6 +14,8 @@ toolchain).  Covered contracts:
   SIGTERM'd CLI daemon exits 0 the same way;
 * a mid-load ``refresh`` swaps epochs without ever mixing epochs inside
   one response;
+* ``executor="auto"`` daemons answer HTTP queries exactly as serial
+  ones, and coalesce one tenant's requests into shared batches;
 * registry mode — ``dataset`` envelopes route to the named tenant,
   unknown tenants map to ``unknown_dataset`` (HTTP 404), ``tenants`` /
   ``GET /tenants`` serve the registry counters, refreshes land on one
@@ -323,6 +325,77 @@ async def _http(host, port, method, target, body=b""):
     await writer.wait_closed()
     status = int(raw.split(b" ", 2)[1])
     return status, json.loads(raw.split(b"\r\n\r\n", 1)[1])
+
+
+@pytest.fixture
+def force_process(monkeypatch):
+    """Make every fresh-solve pair qualify for ``executor="auto"``'s
+    process backend on these small indexes."""
+    from repro.service import service as service_module
+
+    monkeypatch.setattr(service_module, "AUTO_MIN_RUNG_POINTS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+def test_auto_daemon_http_matches_serial_daemon(index, force_process):
+    body = json.dumps({"queries": [Query(name, 4).to_dict() for name in
+                                   ("remote-edge", "remote-clique")]})
+
+    async def answer(executor):
+        service = DiversityService(index, cache_size=16, executor=executor,
+                                   executor_workers=2)
+        server = DiversityServer(service, ServerConfig(batch_window_ms=1.0))
+        host, port = await server.start()
+        try:
+            status, payload = await _http(host, port, "POST", "/query",
+                                          body.encode())
+            active = service.stats()["executors"]["active"]
+        finally:
+            await server.shutdown()
+            service.close()
+        return status, payload, active
+
+    serial = asyncio.run(answer("serial"))
+    auto = asyncio.run(answer("auto"))
+    assert serial[0] == auto[0] == 200
+    assert [result_key(r) for r in protocol.results_of(auto[1])] == \
+        [result_key(r) for r in protocol.results_of(serial[1])]
+    assert serial[2] == ["serial"]
+    assert auto[2] == ["process"]
+
+
+def test_auto_registry_daemon_coalesces_one_tenant(tenant_indexes,
+                                                   force_process):
+    workload = make_workload(4, 8, seed=5)
+    with DiversityService(tenant_indexes["eu"], cache_size=64) as oracle:
+        expected = [result_key(r) for r in oracle.query_batch(workload)]
+
+    async def run():
+        registry = IndexRegistry(executor="auto", executor_workers=2)
+        for name, tenant_index in tenant_indexes.items():
+            registry.register(name, tenant_index)
+        server = DiversityServer(registry, ServerConfig(batch_window_ms=20.0))
+        host, port = await server.start()
+        try:
+            lines = [protocol.encode_request("query", i, queries=[query],
+                                             dataset="eu")
+                     for i, query in enumerate(workload)]
+            responses = await send_lines(host, port, lines)
+            stats = server.stats()
+            active = registry.stats()["executors"]["active"]
+        finally:
+            await server.shutdown()
+            registry.close()
+        return responses, stats, active
+
+    responses, stats, active = asyncio.run(run())
+    by_id = {response["id"]: response for response in responses}
+    assert [result_key(protocol.results_of(by_id[i])[0])
+            for i in range(len(workload))] == expected
+    assert "process" in active
+    assert stats["server"]["batched_requests"] > 0
+    assert stats["server"]["batches_dispatched"] < len(workload)
 
 
 def test_registry_server_routes_by_dataset(tenant_indexes):

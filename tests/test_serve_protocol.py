@@ -3,7 +3,7 @@
 Covers the API-redesign contract: ``Query``/``QueryResult`` round-trip
 through their canonical dict forms bit-exactly (every field, including
 ``cached``/``eps_hit``/``epoch``), unknown schema versions are rejected,
-bare-tuple queries warn with ``DeprecationWarning``, and the NDJSON
+bare-tuple queries are rejected with ``ValidationError``, and the NDJSON
 envelope decoder classifies malformed input with the right error codes.
 """
 
@@ -101,19 +101,38 @@ def test_query_result_from_dict_rejects_bad_version_and_shape(service):
                                if k != "value"})
 
 
-def test_bare_tuple_queries_warn_deprecation(service):
-    with pytest.warns(DeprecationWarning, match="bare-tuple"):
-        results = service.query_batch([("remote-edge", 3)])
-    assert results[0].k == 3
-    with pytest.warns(DeprecationWarning, match="bare-tuple"):
+def test_bare_tuple_queries_rejected(service):
+    answered = service.stats()["counters"]["queries_answered"]
+    with pytest.raises(ValidationError, match="cannot interpret"):
+        service.query_batch([("remote-edge", 3)])
+    with pytest.raises(ValidationError, match="cannot interpret"):
         service.query_concurrent([("remote-edge", 3, 1.0)], max_workers=1)
+    with pytest.raises(ValidationError, match="cannot interpret"):
+        service.query_batch([Query("remote-edge", 3), ["remote-edge", 4]])
+    assert service.stats()["counters"]["queries_answered"] == answered
+
+
+def test_wire_dicts_are_not_queries(service):
+    # Wire payloads go through Query.from_dict; the service never guesses.
+    with pytest.raises(ValidationError, match="cannot interpret"):
+        service.query_batch([{"objective": "remote-edge", "k": 3}])
+
+
+def test_registry_rejects_bare_tuples(service):
+    from repro.service import IndexRegistry
+
+    with IndexRegistry() as registry:
+        registry.register("eu", service.index)
+        with pytest.raises(ValidationError, match="cannot interpret"):
+            registry.query_batch([("remote-edge", 3)], "eu")
+        assert registry.query_batch([Query("remote-edge", 3)], "eu")[0].k == 3
 
 
 def test_query_objects_do_not_warn(service):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         results = service.query_batch([Query("remote-edge", 3, 1.0)])
-    assert results[0].cached  # warmed by the tuple test above
+    assert results[0].k == 3
 
 
 # -------------------------------------------------------- wire envelope

@@ -16,6 +16,7 @@ from repro.mapreduce.algorithm import MRDiversityMaximizer
 from repro.service import (
     CoresetIndex,
     DiversityService,
+    IndexRegistry,
     LRUCache,
     Query,
     build_coreset_index,
@@ -284,9 +285,7 @@ class TestDiversityService:
         stats = service.stats()
         assert stats["schema_version"] == SCHEMA_VERSION
         assert set(stats) == {"schema_version", "counters", "caches",
-                              "matrices", "executors", "epochs", "verify",
-                              "planner"}
-        assert stats["planner"]["mode"] == "static"
+                              "matrices", "executors", "epochs", "verify"}
         assert stats["counters"]["queries_answered"] == 1
         assert stats["counters"]["batches_answered"] == 1
         assert stats["epochs"]["index_built"] is True
@@ -301,6 +300,39 @@ class TestDiversityService:
 
 
 # -- float64 shadow verify ----------------------------------------------------
+
+class TestRoutingDecisions:
+    """Regression: exactly one routing decision per query, on every path."""
+
+    def test_single_query_routes_once(self, index):
+        with DiversityService(index) as service:
+            service.query("remote-edge", 6)
+            assert service.stats()["counters"]["routing_decisions"] == 1
+            service.query("remote-edge", 6)  # cache hit still routes once
+            assert service.stats()["counters"]["routing_decisions"] == 2
+
+    def test_batch_routes_once_per_query(self, index):
+        with DiversityService(index) as service:
+            service.query_batch([Query("remote-edge", k) for k in (4, 6, 9)])
+            assert service.stats()["counters"]["routing_decisions"] == 3
+
+    def test_concurrent_and_auto_paths_count_too(self, index):
+        with DiversityService(index, executor="auto") as service:
+            service.query_concurrent([Query("remote-edge", 4),
+                                      Query("remote-edge", 6)],
+                                     max_workers=2)
+            service.query("remote-clique", 5)
+            assert service.stats()["counters"]["routing_decisions"] == 3
+
+    def test_registry_tenant_routes_once_per_query(self, index):
+        with IndexRegistry(executor="auto") as registry:
+            registry.register("eu", index)
+            registry.query_batch([Query("remote-edge", k) for k in (4, 6)],
+                                 "eu")
+            registry.query("eu", "remote-edge", 4)  # cache hit
+            with registry.attach("eu") as service:
+                assert service.stats()["counters"]["routing_decisions"] == 3
+
 
 class TestVerifyDtype:
     def test_float32_solves_are_shadow_checked(self, index):

@@ -12,16 +12,23 @@ Covers the process-parallel acceptance criteria of the executor PR:
   tracker warnings (spawn workers must not double-register segments);
 * the ``repro.shm`` primitives and the ``SharedMatrixCache`` budget /
   pinning / oversize semantics;
-* epsilon-aware result reuse (``eps_hits``).
+* epsilon-aware result reuse (``eps_hits``);
+* ``executor="auto"``: the fixed rule at its boundaries, and answers
+  bit-identical to serial;
+* a killed worker fails one batch, never the backend.
 """
 
 from __future__ import annotations
 
 import os
+import signal
 import subprocess
 import sys
 import textwrap
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -33,10 +40,17 @@ from repro.diversity.sequential.registry import solve_on_matrix
 from repro.exceptions import ValidationError
 from repro.service import (
     DiversityService,
+    IndexRegistry,
     Query,
     SharedMatrixCache,
     build_coreset_index,
     make_workload,
+)
+from repro.service import service as service_module
+from repro.service.service import (
+    AUTO_MIN_RUNG_POINTS,
+    AUTO_MIN_SOLVES,
+    _auto_executor,
 )
 
 
@@ -375,6 +389,42 @@ class TestProcessLifecycle:
             assert names <= _shm_segments()
         assert names & _shm_segments() == set()
 
+    def test_killed_worker_does_not_brick_the_backend(self, index):
+        queries = [Query(name, 4) for name in list_objectives()]
+        serial = DiversityService(index).query_batch(queries)
+        with DiversityService(index, executor="process",
+                              executor_workers=2) as service:
+            service.warm_executor()
+            backend = service._executor_obj("process")
+            pool = backend._pool
+            # Hold every stripe lock, as a worker killed inside a matrix
+            # fill would: the fresh pool must not wait on them.
+            held = list(backend._locks)
+            for lock in held:
+                lock.acquire()
+            runner = ThreadPoolExecutor(1)
+            try:
+                os.kill(next(iter(pool._processes)), signal.SIGKILL)
+                deadline = time.monotonic() + 30
+                while not pool._broken and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert pool._broken, "the pool never noticed the dead worker"
+                # The batch that meets the dead worker fails ...
+                with pytest.raises(BrokenProcessPool):
+                    service.query_batch(queries)
+                # ... and the next one runs on a fresh pool, bit-identically.
+                results = runner.submit(service.query_batch,
+                                        queries).result(timeout=60)
+            finally:
+                for lock in held:
+                    lock.release()
+                runner.shutdown()
+            names = set(backend.segment_names())
+            assert names <= _shm_segments()
+        assert [(r.value, list(r.indices), r.cached) for r in results] == \
+            [(r.value, list(r.indices), r.cached) for r in serial]
+        assert names & _shm_segments() == set()
+
     def test_refresh_swaps_epoch_planes(self, index):
         service = DiversityService(index, executor="process",
                                    executor_workers=2)
@@ -629,3 +679,252 @@ class TestDtypeProcessPlane:
         finally:
             cache.close()
         assert not cache.segment_names()
+
+
+# -- executor="auto": the fixed rule ------------------------------------------
+
+class _Rung:
+    """Just enough rung surface for the rule: a key and a sized core-set."""
+
+    def __init__(self, n, key=("gmm-ext", 16, 64)):
+        self.key = key
+        self.coreset = np.zeros((n, 1))
+
+
+class TestAutoRule:
+    """Deterministic boundary tests: no timing, cpus monkeypatched."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+    @staticmethod
+    def _pick(queries, sizes, cached=None, concurrent=False):
+        rungs = [_Rung(n) for n in sizes]
+        flags = [False] * len(queries) if cached is None else cached
+        return _auto_executor(queries, rungs, flags, concurrent)
+
+    def _fresh(self, count):
+        return [Query("remote-clique", k) for k in range(2, 2 + count)]
+
+    def test_solve_count_boundary(self):
+        big = [AUTO_MIN_RUNG_POINTS] * AUTO_MIN_SOLVES
+        assert self._pick(self._fresh(AUTO_MIN_SOLVES - 1),
+                          big[1:]) == "serial"
+        assert self._pick(self._fresh(AUTO_MIN_SOLVES), big) == "process"
+
+    def test_rung_size_boundary(self):
+        queries = self._fresh(AUTO_MIN_SOLVES)
+        assert self._pick(queries, [AUTO_MIN_RUNG_POINTS - 1]
+                          * AUTO_MIN_SOLVES) == "serial"
+        assert self._pick(queries, [AUTO_MIN_RUNG_POINTS]
+                          * AUTO_MIN_SOLVES) == "process"
+
+    def test_small_rung_solves_do_not_count(self):
+        queries = self._fresh(AUTO_MIN_SOLVES + 4)
+        sizes = ([AUTO_MIN_RUNG_POINTS] * (AUTO_MIN_SOLVES - 1)
+                 + [AUTO_MIN_RUNG_POINTS - 1] * 5)
+        assert self._pick(queries, sizes) == "serial"
+
+    def test_cached_queries_do_not_count(self):
+        queries = self._fresh(AUTO_MIN_SOLVES)
+        sizes = [AUTO_MIN_RUNG_POINTS] * AUTO_MIN_SOLVES
+        cached = [True] + [False] * (AUTO_MIN_SOLVES - 1)
+        assert self._pick(queries, sizes, cached) == "serial"
+
+    def test_in_batch_repeats_do_not_count(self):
+        queries = [Query("remote-clique", 4)] * (AUTO_MIN_SOLVES + 3)
+        sizes = [AUTO_MIN_RUNG_POINTS] * len(queries)
+        assert self._pick(queries, sizes) == "serial"
+
+    def test_one_cpu_never_picks_process(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        queries = self._fresh(AUTO_MIN_SOLVES + 8)
+        sizes = [10 * AUTO_MIN_RUNG_POINTS] * len(queries)
+        assert self._pick(queries, sizes) == "serial"
+        assert self._pick(queries, sizes, concurrent=True) == "thread"
+
+    def test_concurrent_falls_back_to_thread(self):
+        assert self._pick(self._fresh(1), [AUTO_MIN_RUNG_POINTS],
+                          concurrent=True) == "thread"
+        assert self._pick(self._fresh(AUTO_MIN_SOLVES),
+                          [AUTO_MIN_RUNG_POINTS] * AUTO_MIN_SOLVES,
+                          concurrent=True) == "process"
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        # Platforms without sched_getaffinity fall back to os.cpu_count,
+        # and an unknown count (None) means one cpu.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        queries = self._fresh(AUTO_MIN_SOLVES)
+        sizes = [AUTO_MIN_RUNG_POINTS] * AUTO_MIN_SOLVES
+        for cpus, expected in ((4, "process"), (1, "serial"),
+                               (None, "serial")):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert self._pick(queries, sizes) == expected, cpus
+
+    def test_distinct_objectives_count_separately(self):
+        queries = [Query(name, 4)
+                   for name in list_objectives()[:AUTO_MIN_SOLVES]]
+        sizes = [AUTO_MIN_RUNG_POINTS] * AUTO_MIN_SOLVES
+        assert self._pick(queries, sizes) == "process"
+
+    def test_one_query_on_distinct_rungs_counts_per_rung(self):
+        # The same (objective, k) at two eps values routes to two rungs:
+        # two solves, not one repeat.
+        queries = [Query("remote-edge", 4, 1.0)] * AUTO_MIN_SOLVES
+        rungs = [_Rung(AUTO_MIN_RUNG_POINTS, key=("gmm-ext", 16, 64 * i))
+                 for i in range(1, AUTO_MIN_SOLVES + 1)]
+        assert _auto_executor(queries, rungs, [False] * AUTO_MIN_SOLVES,
+                              False) == "process"
+
+    def test_unknown_executor_rejected(self, index):
+        with pytest.raises(ValidationError, match="auto"):
+            DiversityService(index, executor="planner")
+        with pytest.raises(ValidationError, match="auto"):
+            IndexRegistry(executor="planner")
+
+
+def _answers(results):
+    return [(r.objective, r.k, r.value, r.rung, list(r.indices), r.cached)
+            for r in results]
+
+
+class TestAutoIdentity:
+    """``executor="auto"`` answers exactly as ``serial`` does."""
+
+    @pytest.fixture
+    def force_process(self, monkeypatch):
+        """Make every fresh-solve pair qualify, so auto really dispatches
+        to the process backend on this small index."""
+        monkeypatch.setattr(service_module, "AUTO_MIN_RUNG_POINTS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+
+    @staticmethod
+    def _batches():
+        fresh = [Query(name, k) for name in list_objectives() for k in (3, 6)]
+        # A repeat of the first batch (all cached) plus a mixed one:
+        # in-batch repeats, cached answers and a single fresh solve.
+        return [fresh, fresh, fresh[:3] + [Query("remote-edge", 5)] * 2]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_all_objectives_match_serial(self, index, dtype, force_process):
+        idx = index.astype(dtype)
+        with DiversityService(idx) as serial, \
+                DiversityService(idx, executor="auto",
+                                 executor_workers=2) as auto:
+            for batch in self._batches():
+                assert _answers(auto.query_batch(batch)) == \
+                    _answers(serial.query_batch(batch))
+            assert auto.stats()["executors"]["active"] == [
+                "process", "serial"]
+            assert auto.stats()["executors"]["default"] == "auto"
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_concurrent_matches_serial(self, index, dtype, force_process):
+        idx = index.astype(dtype)
+        # No in-batch repeats: two in-flight thread queries may each
+        # solve a repeat, so only repeat-free batches compare cached flags.
+        batch = self._batches()[0]
+        with DiversityService(idx) as serial, \
+                DiversityService(idx, executor="auto",
+                                 executor_workers=2) as auto:
+            for _ in range(2):  # fresh solves, then all cached
+                assert _answers(auto.query_concurrent(
+                    batch, max_workers=2)) == \
+                    _answers(serial.query_batch(batch))
+            assert auto.stats()["executors"]["active"] == [
+                "process", "thread"]
+
+    def test_mixed_eps_workload_matches_serial(self, index, force_process):
+        # Tight and loose eps for one (objective, k) in one batch: each
+        # solves its own rung on every backend auto may pick.
+        workload = [Query(name, 4, eps)
+                    for name in ("remote-clique", "remote-edge")
+                    for eps in (0.2, 1.0)]
+        with DiversityService(index) as serial, \
+                DiversityService(index, executor="auto",
+                                 executor_workers=2) as auto:
+            for _ in range(2):
+                assert _answers(auto.query_batch(workload)) == \
+                    _answers(serial.query_batch(workload))
+            assert auto.stats()["counters"]["eps_hits"] == \
+                serial.stats()["counters"]["eps_hits"]
+
+    @staticmethod
+    def _record_choices(monkeypatch) -> list[str]:
+        choices = []
+
+        def recording(*args):
+            choices.append(_auto_executor(*args))
+            return choices[-1]
+
+        monkeypatch.setattr(service_module, "_auto_executor", recording)
+        return choices
+
+    def test_choices_follow_the_cached_flags(self, index, force_process,
+                                             monkeypatch):
+        choices = self._record_choices(monkeypatch)
+        with DiversityService(index, executor="auto",
+                              executor_workers=2) as service:
+            for batch in self._batches():
+                service.query_batch(batch)
+        # Fresh solves, then all cached, then one fresh solve repeated.
+        assert choices == ["process", "serial", "serial"]
+
+    def test_eps_reuse_hits_do_not_count(self, index, force_process,
+                                         monkeypatch):
+        choices = self._record_choices(monkeypatch)
+        names = ("remote-edge", "remote-clique")
+        with DiversityService(index, executor="auto",
+                              executor_workers=2) as service:
+            service.query_batch([Query(name, 4, 0.2) for name in names])
+            loose = service.query_batch([Query(name, 4, 1.0)
+                                         for name in names])
+            assert all(result.cached for result in loose)
+            assert service.stats()["counters"]["eps_hits"] == len(names)
+        assert choices == ["process", "serial"]
+
+    def test_empty_batch_starts_no_backend(self, index):
+        with DiversityService(index, executor="auto") as service:
+            assert service.query_batch([]) == []
+            assert service.query_concurrent([]) == []
+            assert service.stats()["executors"]["active"] == []
+
+    def test_warm_executor_starts_the_process_pool(self, index):
+        with DiversityService(index, executor="auto",
+                              executor_workers=2) as service:
+            service.warm_executor()
+            assert service.stats()["executors"]["active"] == ["process"]
+            assert service.query("remote-edge", 5).k == 5
+
+    def test_small_rungs_stay_serial(self, index):
+        with DiversityService(index, executor="auto") as service:
+            service.query_batch(self._batches()[0])
+            assert service.stats()["executors"]["active"] == ["serial"]
+
+    def test_explicit_executor_wins(self, index, force_process):
+        with DiversityService(index, executor="auto") as service:
+            service.query_batch(self._batches()[0], executor="serial")
+            assert service.stats()["executors"]["active"] == ["serial"]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_registry_tenant_matches_serial(self, index, dtype,
+                                            force_process):
+        idx = index.astype(dtype)
+        with DiversityService(idx) as serial, \
+                IndexRegistry(executor="auto",
+                              executor_workers=2) as registry:
+            registry.register("eu", idx)
+            for batch in self._batches():
+                assert _answers(registry.query_batch(batch, "eu")) == \
+                    _answers(serial.query_batch(batch))
+            assert "process" in registry.stats()["executors"]["active"]
+
+    def test_registry_explicit_executor_wins(self, index, force_process):
+        with IndexRegistry(executor="auto") as registry:
+            registry.register("eu", index)
+            registry.query_batch(self._batches()[0], "eu", executor="serial")
+            assert registry.stats()["executors"]["active"] == ["serial"]
